@@ -6,8 +6,11 @@
 //! (`search_baseline`: per-lookup heap allocation, decode-every-slot), the
 //! allocation-free serial batch (`search_batch`), and the sharded parallel
 //! batch (`search_batch_parallel`) — and reports keys/sec for each plus the
-//! measured mean memory accesses per search. Results are written as JSON
-//! for tracking across revisions.
+//! measured mean memory accesses per search. Two pattern-compiled
+//! workloads (packet classification and a distance-2 dictionary) report
+//! queries/sec, memory accesses per query and stored record copies; the
+//! dictionary's accesses per query are gated at 100. Results are written
+//! as JSON for tracking across revisions.
 //!
 //! Usage: `perf_smoke [--prefixes N] [--lookups N] [--seed S] [--threads T]
 //! [--out PATH]`
@@ -86,7 +89,7 @@ fn serial_overhead_pct(plain: &CaRamTable, traced: &CaRamTable, keys: &[SearchKe
 }
 
 /// Measures one pattern-compiled workload: walk every query plan once to
-/// count probes and hits, then time a second full pass.
+/// count probes, row fetches and hits, then time a second full pass.
 fn measure_plans(
     scenario: &'static str,
     entries: usize,
@@ -95,10 +98,13 @@ fn measure_plans(
 ) -> PatternThroughput {
     let mut hits = 0usize;
     let mut probes = 0usize;
+    let mut accesses = 0u64;
     for plan in plans {
         for probe in plan.probes() {
             probes += 1;
-            if table.search(probe).hit.is_some() {
+            let outcome = table.search(probe);
+            accesses += u64::from(outcome.memory_accesses);
+            if outcome.hit.is_some() {
                 hits += 1;
                 break;
             }
@@ -118,6 +124,8 @@ fn measure_plans(
         keys_per_sec: keys_per_sec(plans.len(), secs),
         probes_per_query: probes as f64 / plans.len() as f64,
         hit_rate: hits as f64 / plans.len() as f64,
+        accesses_per_query: accesses as f64 / plans.len() as f64,
+        stored_copies: table.record_count() + table.overflow_count() as u64,
     }
 }
 
@@ -345,17 +353,41 @@ fn main() -> Result<()> {
     // and multi-probe nearest match), reported alongside the designs.
     let patterns = pattern_workloads(lookups.min(20_000), seed)?;
     println!(
-        "{:^14} {:>8} {:>8} {:>14} {:>12} {:>9}",
-        "Pattern", "entries", "lookups", "keys/s", "probes/qry", "hit rate"
+        "{:^14} {:>8} {:>8} {:>8} {:>12} {:>11} {:>9} {:>11}",
+        "Pattern", "entries", "copies", "lookups", "keys/s", "probes/qry", "hit rate", "mem/qry"
     );
-    rule(80);
+    rule(89);
     for p in &patterns {
         println!(
-            "{:^14} {:>8} {:>8} {:>14.0} {:>12.3} {:>9.4}",
-            p.scenario, p.entries, p.lookups, p.keys_per_sec, p.probes_per_query, p.hit_rate
+            "{:^14} {:>8} {:>8} {:>8} {:>12.0} {:>11.3} {:>9.4} {:>11.2}",
+            p.scenario,
+            p.entries,
+            p.stored_copies,
+            p.lookups,
+            p.keys_per_sec,
+            p.probes_per_query,
+            p.hit_rate,
+            p.accesses_per_query
         );
     }
-    rule(80);
+    rule(89);
+    // Nearest-match ladders must stay near the paper's one-row-fetch
+    // lookup: a distance-2 typo walks ~10 probes, so 100 row fetches per
+    // query leaves ~10 per probe. Packet classification is recorded but
+    // not gated yet (its rule fan-out needs entry-aware index selection).
+    let dictionary = patterns
+        .iter()
+        .find(|p| p.scenario == "dictionary-d2")
+        .expect("dictionary-d2 is always measured");
+    println!(
+        "dictionary-d2 memory accesses per query: {:.2} (target <= 100.00) {}",
+        dictionary.accesses_per_query,
+        if dictionary.accesses_per_query <= 100.0 {
+            "PASS"
+        } else {
+            "MISS"
+        }
+    );
 
     let report = SearchReport {
         prefixes: prefixes_n,

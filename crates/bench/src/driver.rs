@@ -208,6 +208,12 @@ pub struct PatternThroughput {
     pub probes_per_query: f64,
     /// Fraction of queries that found a match.
     pub hit_rate: f64,
+    /// Mean memory accesses (row fetches) per query, summed over every
+    /// probe the ladder walked — the paper's AMAL for a whole query.
+    pub accesses_per_query: f64,
+    /// Records the table holds for the loaded entries, counting every
+    /// expansion entry and don't-care duplicate (including overflow).
+    pub stored_copies: u64,
 }
 
 /// The `BENCH_search.json` report: simulator throughput per design.
@@ -299,13 +305,16 @@ impl SearchReport {
                 json,
                 "    {{\"scenario\": \"{}\", \"entries\": {}, \"lookups\": {}, \
                  \"keys_per_sec\": {:.1}, \"probes_per_query\": {:.4}, \
-                 \"hit_rate\": {:.4}}}{}",
+                 \"hit_rate\": {:.4}, \"accesses_per_query\": {:.4}, \
+                 \"stored_copies\": {}}}{}",
                 r.scenario,
                 r.entries,
                 r.lookups,
                 r.keys_per_sec,
                 r.probes_per_query,
                 r.hit_rate,
+                r.accesses_per_query,
+                r.stored_copies,
                 if i + 1 == self.patterns.len() {
                     ""
                 } else {
@@ -380,6 +389,8 @@ mod tests {
                 keys_per_sec: 1_234.5,
                 probes_per_query: 2.5,
                 hit_rate: 0.875,
+                accesses_per_query: 3.25,
+                stored_copies: 640,
             }],
         };
         assert!((report.min_serial_speedup() - 2.5).abs() < 1e-12);
@@ -396,6 +407,8 @@ mod tests {
         assert!(json.contains("\"scenario\": \"packet-class\""));
         assert!(json.contains("\"probes_per_query\": 2.5000"));
         assert!(json.contains("\"hit_rate\": 0.8750"));
+        assert!(json.contains("\"accesses_per_query\": 3.2500"));
+        assert!(json.contains("\"stored_copies\": 640}"));
         assert!(json.ends_with("  ]\n}\n"));
     }
 

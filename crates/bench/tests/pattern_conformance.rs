@@ -134,3 +134,58 @@ fn compiled_dictionary_table_passes_engine_conformance() {
     let outcome = ladder.execute(&table);
     assert_eq!(outcome.hit.map(|h| h.data), Some(0), "typo resolves");
 }
+
+/// The nearest-match index must spread lowercase words over many home
+/// buckets. Lowercase ASCII fixes the top two bits of every byte, so an
+/// index built from those bits sends every word to one home and each ladder
+/// rung walks the whole reach chain (thousands of row fetches per query).
+#[test]
+fn dictionary_index_spreads_words_and_keeps_typo_queries_cheap() {
+    let plan = compile(
+        &dictionary::dictionary_spec(8, 2),
+        &GeometryHint {
+            rows_log2: 11,
+            slots_per_row: 8,
+            data_bits: 32,
+        },
+    )
+    .expect("compiles");
+    let mut table = plan.build_table().expect("builds");
+    let words = dictionary::generate(&dictionary::DictionaryConfig::scaled(5_000));
+    let mut homes = std::collections::BTreeSet::new();
+    for (i, w) in words.iter().enumerate() {
+        let value = dictionary::pack_word(w);
+        homes.insert(table.home_bucket(&SearchKey::new(value, 64)));
+        for rec in plan
+            .lower_entry(&Pattern::Exact { value }, u64::try_from(i).expect("small"))
+            .expect("words lower")
+        {
+            table.insert(rec).expect("fits");
+        }
+    }
+    assert!(
+        homes.len() >= 1_000,
+        "5,000 words share only {} home buckets",
+        homes.len()
+    );
+
+    let typos = dictionary::typo_trace(&words, 500, 2, 0x7E0);
+    let mut accesses = 0u64;
+    for t in &typos {
+        let outcome = plan
+            .lower_query(&Pattern::NearestMatch {
+                value: dictionary::pack_word(&t.query),
+                max_distance: 2,
+            })
+            .expect("ladder lowers")
+            .execute(&table);
+        assert!(outcome.hit.is_some(), "{t:?} is within distance 2");
+        accesses += u64::from(outcome.memory_accesses);
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let per_query = accesses as f64 / typos.len() as f64;
+    assert!(
+        per_query <= 100.0,
+        "typo queries cost {per_query:.1} accesses each"
+    );
+}

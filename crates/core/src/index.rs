@@ -36,6 +36,14 @@ pub trait IndexGenerator: Send + Sync + core::fmt::Debug {
 
     /// Key bit positions that influence the index, as a mask. Returns
     /// `None` when the whole key is consumed (e.g. by a string hash).
+    ///
+    /// Returning `Some(mask)` promises that the generator is a pure bit
+    /// selection over `mask`: every index bit is a copy of one distinct key
+    /// bit in `mask`, and every bit of `mask` feeds exactly one index bit.
+    /// Then `index(a | b) == index(a) | index(b)` and `index(0) == 0`,
+    /// which [`buckets_for_masked_search`] relies on to enumerate homes
+    /// directly. Generators that mix bits (hashes, folds) must return
+    /// `None`.
     fn consumed_bits(&self) -> Option<u128>;
 }
 
@@ -435,23 +443,20 @@ pub fn buckets_for_masked_search_into(
         out.push(generator.index(key.value()));
         return;
     }
-    for combo in 0u64..(1 << n) {
-        // Scatter the combo bits over the free positions without a
-        // materialized position list.
-        let mut value = key.value();
-        let mut rest = free;
-        let mut i = 0u32;
-        while rest != 0 {
-            let p = rest.trailing_zeros();
-            if combo >> i & 1 == 1 {
-                value |= 1 << p;
-            }
-            rest &= rest - 1;
-            i += 1;
+    // A generator reporting consumed bits is a pure bit selection (the
+    // `consumed_bits` contract), so the homes are the care bits' image
+    // OR'd with every subset of the free bits' image. Walking the subsets
+    // in ascending order yields the list already sorted and distinct.
+    let free_index = generator.index(free);
+    let base = generator.index(key.value() & !free);
+    let mut sub = 0u64;
+    loop {
+        out.push(base | sub);
+        if sub == free_index {
+            break;
         }
-        out.push(generator.index(value));
+        sub = sub.wrapping_sub(free_index) & free_index;
     }
-    out.sort_dedup();
 }
 
 #[cfg(test)]

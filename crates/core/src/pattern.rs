@@ -28,7 +28,10 @@
 //!   queries answered by a distance ladder of unit-masked probes
 //!   (the multi-bit approximate search of FeFET-style associative
 //!   memories); index bits round-robined one per unit, so a probe that
-//!   wildcards one unit touches few buckets.
+//!   wildcards one unit touches few buckets. Each unit gives its
+//!   least-significant bits first: symbol encodings (ASCII, small
+//!   integers) fix the high-order bits, so low-order bits are the ones
+//!   that spread stored words over distinct home buckets.
 //!
 //! Individual entries and queries are [`Pattern`]s: `Exact`, `Prefix`,
 //! `RangeViaPrefixExpansion`, `MaskedMultiField`, and `NearestMatch`.
@@ -516,13 +519,10 @@ impl PatternSpec {
     pub fn lower(&self, pattern: &Pattern) -> Result<Vec<TernaryKey>, PatternError> {
         let bits = self.key_bits();
         let masks = self.lower_masks(pattern)?;
-        if !self.is_ternary() {
-            if let Some((_, dc)) = masks.iter().find(|&&(_, dc)| dc != 0) {
-                let _ = dc;
-                return Err(PatternError::TernaryRequired {
-                    pattern: pattern_kind(pattern),
-                });
-            }
+        if !self.is_ternary() && masks.iter().any(|&(_, dc)| dc != 0) {
+            return Err(PatternError::TernaryRequired {
+                pattern: pattern_kind(pattern),
+            });
         }
         Ok(masks
             .into_iter()
@@ -951,6 +951,15 @@ fn multi_field_positions(spec: &PatternSpec, index_bits: u32) -> Vec<u32> {
 /// Index positions for nearest mode: one bit per unit, round-robin, so a
 /// probe wildcarding `d` units overlaps at most
 /// `d · ceil(index_bits / units)` index bits.
+///
+/// Each unit contributes its bits from the *least*-significant end. A probe
+/// wildcards whole units, so which bit of a unit is taken does not change
+/// the fan-out; it only decides whether that bit varies across stored
+/// words. Symbol encodings fix high-order bits (lowercase ASCII pins bits
+/// 7 and 6 of every byte; small integers leave their top bits zero), so
+/// taking top bits would hash every word into one home bucket and make
+/// each ladder rung walk the whole reach chain. With 8-bit units and 11
+/// index bits the positions are `[0, 8, 16, …, 56, 1, 9, 17]`.
 fn nearest_positions(bits: u32, unit_bits: u32, index_bits: u32) -> Vec<u32> {
     let units = bits / unit_bits;
     let mut positions = Vec::with_capacity(index_bits as usize);
@@ -958,7 +967,7 @@ fn nearest_positions(bits: u32, unit_bits: u32, index_bits: u32) -> Vec<u32> {
     while positions.len() < index_bits as usize {
         for u in 0..units {
             if pass < unit_bits {
-                positions.push(u * unit_bits + unit_bits - 1 - pass);
+                positions.push(u * unit_bits + pass);
                 if positions.len() == index_bits as usize {
                     break;
                 }
@@ -1308,12 +1317,12 @@ mod tests {
             }
         );
         let near = compile(&PatternSpec::dictionary(4, 1), &hint).unwrap();
-        // One bit per byte unit, then wrap: units 0..4 top bits, unit 0/1
+        // One bit per byte unit, then wrap: units 0..4 low bits, unit 0/1
         // second bits.
         assert_eq!(
             *near.index(),
             IndexChoice::Bits {
-                positions: vec![7, 15, 23, 31, 6, 14]
+                positions: vec![0, 8, 16, 24, 1, 9]
             }
         );
     }

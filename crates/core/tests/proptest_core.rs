@@ -1,13 +1,136 @@
 //! Property-based tests for the bit-level substrate of `ca-ram-core`:
 //! packing round-trips, match-processor equivalence with a naive reference,
-//! and RAM-mode/search consistency.
+//! RAM-mode/search consistency, and masked home-bucket enumeration.
 
 use ca_ram_core::array::MemoryArray;
 use ca_ram_core::bits::{low_mask, read_bits, write_bits};
+use ca_ram_core::index::{buckets_for_masked_search, BitSelect, IndexGenerator, RangeSelect};
 use ca_ram_core::key::{SearchKey, TernaryKey};
 use ca_ram_core::layout::{Record, RecordLayout};
 use ca_ram_core::matchproc::MatchProcessorBank;
 use proptest::prelude::*;
+
+/// Reference enumeration of a masked key's homes: scatter every combination
+/// of the don't-care hash bits over the key, hash each image, then sort and
+/// deduplicate. `buckets_for_masked_search` must return exactly this list.
+fn scatter_oracle(key: &SearchKey, generator: &dyn IndexGenerator) -> Vec<u64> {
+    let Some(consumed) = generator.consumed_bits() else {
+        return vec![generator.index(key.value())];
+    };
+    let free = key.dont_care() & consumed & low_mask(key.bits());
+    let n = free.count_ones();
+    let mut out = Vec::with_capacity(1 << n);
+    for combo in 0u64..(1 << n) {
+        let mut value = key.value();
+        let mut rest = free;
+        let mut i = 0u32;
+        while rest != 0 {
+            let p = rest.trailing_zeros();
+            if combo >> i & 1 == 1 {
+                value |= 1 << p;
+            }
+            rest &= rest - 1;
+            i += 1;
+        }
+        out.push(generator.index(value));
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// A bit-selection (`positions` folded into `0..bits`, duplicates dropped)
+/// or field (`low`/`count` folded into range) generator over a `bits`-wide
+/// key.
+fn generator_for(
+    bits: u32,
+    range: bool,
+    positions: &[u32],
+    low: u32,
+    count: u32,
+) -> Box<dyn IndexGenerator> {
+    if range {
+        let count = 1 + (count - 1) % bits.min(63);
+        return Box::new(RangeSelect::new(low % (bits - count + 1), count));
+    }
+    let mut seen = 0u128;
+    let picked: Vec<u32> = positions
+        .iter()
+        .map(|p| p % bits)
+        .filter(|&p| {
+            let fresh = seen & 1 << p == 0;
+            seen |= 1 << p;
+            fresh
+        })
+        .collect();
+    Box::new(BitSelect::new(picked))
+}
+
+/// Keeps at most `limit` of the hash-consumed bits of `mask`, so the
+/// enumeration stays within the 2^20-home limit.
+fn trim_hash_dont_cares(mask: u128, consumed: u128, limit: u32) -> u128 {
+    let mut hashed = mask & consumed;
+    let mut kept = 0u128;
+    for _ in 0..limit {
+        if hashed == 0 {
+            break;
+        }
+        kept |= hashed & hashed.wrapping_neg();
+        hashed &= hashed - 1;
+    }
+    (mask & !consumed) | kept
+}
+
+#[test]
+fn direct_home_enumeration_handles_the_extremes() {
+    // n = 0: an unmasked key, and a mask that misses every hash bit.
+    let g = RangeSelect::new(8, 12);
+    for key in [
+        SearchKey::new(0x000A_BCDE, 32),
+        SearchKey::with_mask(0x000A_BC00, 0xFF, 32),
+    ] {
+        let homes = buckets_for_masked_search(&key, &g);
+        assert_eq!(homes, vec![g.index(key.value())]);
+        assert_eq!(homes, scatter_oracle(&key, &g));
+    }
+    // n = 20, the largest enumeration the assert admits.
+    let g = BitSelect::new((0..40).step_by(2).collect());
+    let key = SearchKey::with_mask(0, low_mask(40), 40);
+    let homes = buckets_for_masked_search(&key, &g);
+    assert_eq!(homes.len(), 1 << 20);
+    assert_eq!(homes, scatter_oracle(&key, &g));
+}
+
+#[test]
+#[should_panic(expected = "21 don't-care hash bits")]
+fn direct_home_enumeration_rejects_more_than_20_free_bits() {
+    let g = RangeSelect::new(0, 21);
+    let _ = buckets_for_masked_search(&SearchKey::with_mask(0, low_mask(21), 32), &g);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn direct_home_enumeration_equals_scatter_oracle(
+        bits in 1u32..=128,
+        range in any::<bool>(),
+        positions in prop::collection::vec(0u32..128, 1..64),
+        low in 0u32..128,
+        count in 1u32..64,
+        raw_value in any::<u128>(),
+        raw_mask in any::<u128>(),
+        limit in 0u32..=12,
+    ) {
+        let g = generator_for(bits, range, &positions, low, count);
+        let consumed = g.consumed_bits().expect("bit selections report consumed bits");
+        let mask = trim_hash_dont_cares(raw_mask & low_mask(bits), consumed, limit);
+        let key = SearchKey::with_mask(raw_value & low_mask(bits) & !mask, mask, bits);
+        let homes = buckets_for_masked_search(&key, g.as_ref());
+        prop_assert_eq!(&homes, &scatter_oracle(&key, g.as_ref()));
+        prop_assert_eq!(homes.len(), 1usize << (mask & consumed).count_ones());
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
