@@ -136,7 +136,8 @@ fn pattern_workloads(lookups: usize, seed: u64) -> Result<Vec<PatternThroughput>
     let mut out = Vec::new();
 
     // Packet classification: 500 rules compiled onto a ternary table whose
-    // round-robin bit index taps the top bits of every header field.
+    // index is the top of the key (source-address bits 31..21), inside
+    // every rule's cared source prefix (at least /14).
     let rules = packet::generate(&PacketClassConfig {
         rules: 500,
         min_src_len: 14,
@@ -371,23 +372,25 @@ fn main() -> Result<()> {
         );
     }
     rule(89);
-    // Nearest-match ladders must stay near the paper's one-row-fetch
-    // lookup: a distance-2 typo walks ~10 probes, so 100 row fetches per
-    // query leaves ~10 per probe. Packet classification is recorded but
-    // not gated yet (its rule fan-out needs entry-aware index selection).
-    let dictionary = patterns
-        .iter()
-        .find(|p| p.scenario == "dictionary-d2")
-        .expect("dictionary-d2 is always measured");
-    println!(
-        "dictionary-d2 memory accesses per query: {:.2} (target <= 100.00) {}",
-        dictionary.accesses_per_query,
-        if dictionary.accesses_per_query <= 100.0 {
-            "PASS"
-        } else {
-            "MISS"
-        }
-    );
+    // Pattern lookups must stay near the paper's one-row-fetch lookup. A
+    // packet header is one exact probe, so 2 row fetches per query is the
+    // ceiling; a distance-2 typo walks ~10 probes, so 100 row fetches per
+    // query leaves ~10 per probe.
+    for (scenario, target) in [("packet-class", 2.0), ("dictionary-d2", 100.0)] {
+        let p = patterns
+            .iter()
+            .find(|p| p.scenario == scenario)
+            .expect("every pattern scenario is always measured");
+        println!(
+            "{scenario} memory accesses per query: {:.2} (target <= {target:.2}) {}",
+            p.accesses_per_query,
+            if p.accesses_per_query <= target {
+                "PASS"
+            } else {
+                "MISS"
+            }
+        );
+    }
 
     let report = SearchReport {
         prefixes: prefixes_n,

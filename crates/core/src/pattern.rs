@@ -17,13 +17,23 @@
 //! field 0 occupies the most-significant key bits) plus a [`MatchMode`]:
 //!
 //! * [`MatchMode::Exact`] — binary storage, hashed index;
-//! * [`MatchMode::Lpm`] — ternary storage, longest-prefix-match priority,
-//!   index bits taken from the top of the key so every prefix long enough
-//!   to cover them lands in one home bucket;
+//! * [`MatchMode::Lpm`] — ternary storage, longest-prefix-match priority;
 //! * [`MatchMode::MultiField`] — ternary storage for rule tables
-//!   (packet classification), index bits round-robined across the *top*
-//!   bits of every field so a rule that wildcards one whole field still
-//!   duplicates into few home buckets;
+//!   (packet classification).
+//!
+//!   Both ternary modes take their index bits from the top of the key (a
+//!   `RangeSelect` over the top `rows_log2` bits), so every entry whose
+//!   leading field cares about at least that many bits lands in one home
+//!   bucket. An entry whose leading field cares about only `len <
+//!   rows_log2` bits is duplicated into `2^(rows_log2 − len)` homes — the
+//!   paper's Sec. 4.1 trade: short prefixes are the duplicated minority.
+//!   For a five-tuple table at 2^11 rows the index is `src[31..21]`, so
+//!   rule sets whose source prefixes are all at least /11 store one copy
+//!   per lowered entry: 500 generated rules store their 2,552 entries as
+//!   2,552 copies at ~1.01 row fetches per lookup. Index bits taken from
+//!   the tops of the other fields land on bits the rules fix or wildcard
+//!   (padding, protocol high bits, `Any` ports) and multiply copies
+//!   instead of spreading them (29,417 copies, ~258 fetches per lookup);
 //! * [`MatchMode::Nearest`] — binary storage of exact words, approximate
 //!   queries answered by a distance ladder of unit-masked probes
 //!   (the multi-bit approximate search of FeFET-style associative
@@ -224,8 +234,10 @@ pub enum MatchMode {
     Exact,
     /// Longest-prefix match; ternary storage, top-of-key range index.
     Lpm,
-    /// Masked multi-field rules; ternary storage, index bits round-robined
-    /// over the top bits of every field.
+    /// Masked multi-field rules; ternary storage, top-of-key range index
+    /// (the same rule as [`MatchMode::Lpm`]). An entry whose leading field
+    /// cares about `len < rows_log2` bits is stored in
+    /// `2^(rows_log2 − len)` home buckets; longer ones in exactly one.
     MultiField,
     /// Nearest-match over fixed-width units (e.g. bytes of a word); binary
     /// storage, index bits round-robined one per unit, approximate queries
@@ -905,12 +917,9 @@ pub fn compile(spec: &PatternSpec, hint: &GeometryHint) -> Result<CompiledPlan, 
             index_bits,
             key_bytes: bits.div_ceil(8),
         },
-        MatchMode::Lpm => IndexChoice::Range {
+        MatchMode::Lpm | MatchMode::MultiField => IndexChoice::Range {
             low: bits - index_bits,
             count: index_bits,
-        },
-        MatchMode::MultiField => IndexChoice::Bits {
-            positions: multi_field_positions(spec, index_bits),
         },
         MatchMode::Nearest { unit_bits, .. } => IndexChoice::Bits {
             positions: nearest_positions(bits, unit_bits, index_bits),
@@ -924,28 +933,6 @@ pub fn compile(spec: &PatternSpec, hint: &GeometryHint) -> Result<CompiledPlan, 
         index,
         config,
     })
-}
-
-/// Index positions for multi-field mode: round-robin the most-significant
-/// bits of every field, so a rule wildcarding one whole field loses few
-/// index bits (duplicates into few home buckets).
-fn multi_field_positions(spec: &PatternSpec, index_bits: u32) -> Vec<u32> {
-    let n = spec.fields().len();
-    let mut positions = Vec::with_capacity(index_bits as usize);
-    let mut pass = 0u32;
-    while positions.len() < index_bits as usize {
-        for i in 0..n {
-            let f = &spec.fields()[i];
-            if pass < f.bits {
-                positions.push(spec.field_low(i) + f.bits - 1 - pass);
-                if positions.len() == index_bits as usize {
-                    break;
-                }
-            }
-        }
-        pass += 1;
-    }
-    positions
 }
 
 /// Index positions for nearest mode: one bit per unit, round-robin, so a
@@ -1309,13 +1296,8 @@ mod tests {
         let lpm = compile(&PatternSpec::lpm("l", 32).unwrap(), &hint).unwrap();
         assert_eq!(*lpm.index(), IndexChoice::Range { low: 26, count: 6 });
         let mf = compile(&PatternSpec::five_tuple(), &hint).unwrap();
-        // Round-robin over field tops: src, dst, sport, dport, proto, pad.
-        assert_eq!(
-            *mf.index(),
-            IndexChoice::Bits {
-                positions: vec![127, 95, 63, 47, 31, 23]
-            }
-        );
+        // Same rule as LPM: the top of the key, here src[31..26].
+        assert_eq!(*mf.index(), IndexChoice::Range { low: 122, count: 6 });
         let near = compile(&PatternSpec::dictionary(4, 1), &hint).unwrap();
         // One bit per byte unit, then wrap: units 0..4 low bits, unit 0/1
         // second bits.
@@ -1325,6 +1307,72 @@ mod tests {
                 positions: vec![0, 8, 16, 24, 1, 9]
             }
         );
+    }
+
+    /// A multi-field entry duplicates like an LPM prefix: with a leading
+    /// field of `len < rows_log2` cared bits it is stored in
+    /// `2^(rows_log2 − len)` home buckets, with a longer one in exactly
+    /// one, and lookups in either case agree with the reference model.
+    #[test]
+    fn short_leading_field_fans_out_to_every_matching_home() {
+        use crate::oracle::ReferenceModel;
+        let hint = GeometryHint::default();
+        let plan = compile(&PatternSpec::five_tuple(), &hint).unwrap();
+        let header = |src: u32, dport: u16| {
+            (u128::from(src) << 96)
+                | (0xC0A8_0101u128 << 64)
+                | (1234u128 << 48)
+                | (u128::from(dport) << 32)
+                | (6u128 << 24)
+        };
+        for src_len in [0u32, 3, 6, 16] {
+            let rule = Pattern::MaskedMultiField {
+                fields: vec![
+                    FieldPattern::Prefix {
+                        value: 0xA034_0000 & !(u128::from(u32::MAX) >> src_len),
+                        len: src_len,
+                    },
+                    FieldPattern::Prefix {
+                        value: 0xC0A8_0000,
+                        len: 16,
+                    },
+                    FieldPattern::Any,
+                    FieldPattern::Exact(443),
+                    FieldPattern::Exact(6),
+                    FieldPattern::Exact(0),
+                ],
+            };
+            let entries = plan.lower_entry(&rule, 9).unwrap();
+            assert_eq!(entries.len(), 1);
+            let mut table = plan.build_table().unwrap();
+            table.insert_sorted(entries[0]).unwrap();
+            let mut model = ReferenceModel::new(128);
+            model.insert_compiled(&entries);
+            let copies = 1u64 << (hint.rows_log2 - src_len.min(hint.rows_log2));
+            assert_eq!(
+                table.record_count() + table.overflow_count() as u64,
+                copies,
+                "/{src_len} source"
+            );
+            // One header per home bucket, member (dport 443) and
+            // non-member (dport 80).
+            let mut hits = 0u64;
+            for top in 0u32..1 << hint.rows_log2 {
+                for dport in [443u16, 80] {
+                    let value = header((top << 26) | 0x0034_5678, dport);
+                    let got = plan
+                        .lower_query(&Pattern::Exact { value })
+                        .unwrap()
+                        .execute(&table)
+                        .hit
+                        .map(|h| h.data);
+                    let expected = model.expected(&SearchKey::new(value, 128));
+                    assert!(expected.admits(got), "/{src_len}: {value:#x} -> {got:?}");
+                    hits += u64::from(got.is_some());
+                }
+            }
+            assert_eq!(hits, copies, "/{src_len}: one member per stored home");
+        }
     }
 
     #[test]

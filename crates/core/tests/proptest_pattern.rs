@@ -49,9 +49,11 @@ fn prefix_mask32(len: u32) -> u32 {
 
 /// One random classifier rule decoded from two raw 128-bit draws.
 ///
-/// Source/destination prefixes keep at least 2 cared top bits so the
-/// round-robin index bits sampled from those fields stay cared and the
-/// home-copy fan-out is bounded by the port/proto wildcards alone.
+/// Source/destination prefixes keep at least 2 cared top bits. The
+/// compiled index is the top `rows_log2` key bits (the top of the source
+/// address), so an entry whose source prefix is `len < rows_log2` bits
+/// long is stored in `2^(rows_log2 − len)` home buckets: at most 64 with
+/// the 2^8-row [`hint`].
 struct RawRule {
     src: u32,
     src_len: u32,

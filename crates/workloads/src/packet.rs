@@ -181,9 +181,12 @@ impl ClassifierRule {
 pub struct PacketClassConfig {
     /// Rules to generate.
     pub rules: usize,
-    /// Minimum source-prefix length (inclusive). Keeping this at the
-    /// default bounds per-rule bucket duplication when the compiled index
-    /// taps high source-address bits.
+    /// Minimum source-prefix length (inclusive). The compiled classifier
+    /// indexes the top `rows_log2` key bits, the top of the source
+    /// address, so a rule whose source prefix is `len < rows_log2` bits
+    /// long is stored in `2^(rows_log2 − len)` home buckets (once per
+    /// lowered entry); the default 14 keeps every rule at one home per
+    /// entry on tables of up to 2^14 rows.
     pub min_src_len: u8,
     /// RNG seed.
     pub seed: u64,
