@@ -408,7 +408,7 @@ impl SearchEngine for DatabaseEngine<'_> {
     // `full_scan` degradation flag; every subsystem search entry point —
     // `search`/`peek`, `pump[_parallel]`, and this adapter's
     // `search[_batch[_parallel_stats]]` — reads that flag through
-    // `search_with_scratch`, so post-delete LPM lookups never shortcut the
+    // `CaRamTable::probe_homes`, so post-delete LPM lookups never shortcut the
     // bucket scan regardless of which port they arrive on.
     fn delete(&mut self, key: &crate::key::TernaryKey) -> u32 {
         self.table.delete(key)

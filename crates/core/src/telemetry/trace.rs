@@ -3,8 +3,8 @@
 //! Instrumented components ([`crate::table::CaRamTable`],
 //! [`crate::subsystem::CaRamSubsystem`], the input-controller model) hold
 //! an `Option<Arc<dyn TelemetrySink>>`. With no sink installed the hot
-//! path pays a single pointer-null branch — the PR-1 performance gate is
-//! preserved. With a sink installed, the traced search path reports:
+//! path pays a single pointer-null branch, so `perf_smoke`'s serial
+//! speedup gate still holds. With a sink installed, searches report:
 //!
 //! * per-stage events mirroring the paper's Fig. 4 pipeline (hash → row
 //!   fetch → match → priority-decode/extract, plus the overflow probe);
@@ -83,13 +83,16 @@ impl Stage {
 pub struct ProbeSummary {
     /// Whether the search produced a match.
     pub hit: bool,
-    /// Total rows fetched (main table + overflow), ≥ 1.
+    /// Rows fetched from the main table, ≥ 1: always equal to
+    /// [`crate::table::SearchOutcome::memory_accesses`]. The overflow area
+    /// is searched in parallel with the main array and never counted.
     pub row_fetches: u64,
     /// Displacement at which the search resolved: 0 = home bucket, `d` =
-    /// d-th reach step. On a miss, the maximum displacement examined.
+    /// d-th reach step, 0 for an overflow-area hit. On a miss, the maximum
+    /// displacement examined.
     pub probe_length: u64,
-    /// Number of home buckets the key hashes to (1 for single-hash
-    /// tables, 2 for dual-hash).
+    /// Number of home buckets probed: 1 for an unmasked key, more for a
+    /// masked key whose don't-care bits cover index bits.
     pub homes: u64,
 }
 
@@ -117,6 +120,16 @@ pub trait TelemetrySink: Send + Sync {
     /// A search resolved.
     fn search_complete(&self, summary: &ProbeSummary) {
         let _ = summary;
+    }
+
+    /// `count` consecutive searches resolved, each with `summary`. Batched
+    /// table lookups report a run of alike searches through this at once;
+    /// the default reports each one to
+    /// [`TelemetrySink::search_complete`].
+    fn search_complete_n(&self, summary: &ProbeSummary, count: u64) {
+        for _ in 0..count {
+            self.search_complete(summary);
+        }
     }
 
     /// A record was inserted into a bucket that now holds `occupancy`
@@ -317,6 +330,10 @@ impl TelemetrySink for HistogramSink {
     }
 
     fn search_complete(&self, summary: &ProbeSummary) {
+        self.search_complete_n(summary, 1);
+    }
+
+    fn search_complete_n(&self, summary: &ProbeSummary, count: u64) {
         // Fast path: small probe lengths and fetch counts (every search in
         // a well-loaded table) cost one relaxed add into the scoreboard.
         let limit = COMBO_LIMIT as u64;
@@ -327,16 +344,18 @@ impl TelemetrySink for HistogramSink {
                 summary.probe_length as usize,
                 summary.row_fetches as usize,
             );
-            self.combo[idx].fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+            self.combo[idx].fetch_add(count, core::sync::atomic::Ordering::Relaxed);
             return;
         }
-        #[allow(clippy::cast_possible_truncation)]
-        self.stats.record(
-            summary.hit,
-            summary.row_fetches.min(u64::from(u32::MAX)) as u32,
-        );
-        self.probe_length.record(summary.probe_length);
-        self.row_fetches.record(summary.row_fetches);
+        for _ in 0..count {
+            #[allow(clippy::cast_possible_truncation)]
+            self.stats.record(
+                summary.hit,
+                summary.row_fetches.min(u64::from(u32::MAX)) as u32,
+            );
+            self.probe_length.record(summary.probe_length);
+            self.row_fetches.record(summary.row_fetches);
+        }
     }
 
     fn insert_occupancy(&self, occupancy: u32) {
@@ -443,6 +462,33 @@ impl TelemetrySink for TraceBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histogram_sink_counts_a_run_like_single_reports() {
+        let small = ProbeSummary {
+            hit: true,
+            row_fetches: 2,
+            probe_length: 1,
+            homes: 1,
+        };
+        // Past the scoreboard's limit: the exact-histogram path.
+        let large = ProbeSummary {
+            hit: false,
+            row_fetches: 9,
+            probe_length: 8,
+            homes: 2,
+        };
+        let runs = HistogramSink::new();
+        let singles = HistogramSink::new();
+        for summary in [small, large] {
+            runs.search_complete_n(&summary, 3);
+            for _ in 0..3 {
+                singles.search_complete(&summary);
+            }
+        }
+        assert_eq!(runs.snapshot(), singles.snapshot());
+        assert_eq!(runs.snapshot().stats.searches, 6);
+    }
 
     #[test]
     fn histogram_sink_records_summaries() {
